@@ -22,8 +22,9 @@ The life cycle mirrors an OpenCL driver:
     Execute one launch.  Returns ``True`` on success (buffers written,
     counters merged).  Returns ``False`` for a *dynamic* refusal — the
     backend noticed mid-launch that it cannot reproduce the scalar
-    semantics (e.g. a cross-lane data race) and has already rolled the
-    global buffers back to their pre-launch contents.  It may also
+    semantics (e.g. a cross-lane data race), has already rolled the
+    global buffers back to their pre-launch contents, and has named the
+    cause in ``request.decline_reason`` for the ledger.  It may also
     raise :class:`CompileUnsupported` for launch-shape refusals that
     occur before any buffer is touched (e.g. the fused backend's
     whole-grid lane cap).
@@ -56,7 +57,8 @@ class ExecutionRequest:
     scalars; ``local_decls`` are the kernel's ``local`` array
     declarations (allocated per work-group by each backend in its own
     layout).  ``counters`` is the caller's accumulator — backends must
-    only merge into it on success.
+    only merge into it on success.  ``decline_reason`` is where a
+    backend whose ``run`` returns ``False`` names the cause.
     """
 
     parsed: Any  # ParsedProgram
@@ -66,6 +68,7 @@ class ExecutionRequest:
     base_env: Mapping[str, Any]
     local_decls: Sequence
     counters: Any  # Counters
+    decline_reason: str = ""
 
     @property
     def total_work_items(self) -> int:

@@ -1316,7 +1316,7 @@ class FusedKernel:
                             deltas["load_events"] = load_events
                         prof.record_segment_counters(index, kind, deltas)
                 block._flush_load_log()
-        except (VectorUnsupported, MemoryError):
+        except (VectorUnsupported, MemoryError) as exc:
             # MemoryError: the whole-grid layout multiplies per-lane
             # state (private arrays, temporaries) by the entire launch;
             # a failed allocation is a dynamic refusal like any other —
@@ -1324,6 +1324,7 @@ class FusedKernel:
             # blocks.
             for array, saved in snapshot.values():
                 array[:] = saved
+            request.decline_reason = str(exc) or type(exc).__name__
             return False
         finally:
             _pool_tls.epoch = block._segment + 1

@@ -22,7 +22,8 @@ Decline kinds:
     before touching buffers.
 ``dynamic``
     ``run`` returned ``False`` after rolling buffers back (e.g. a
-    cross-lane race detected mid-launch).
+    cross-lane race detected mid-launch); the reason is the message the
+    backend left in ``ExecutionRequest.decline_reason``.
 ``crash``
     ``plan`` raised an unexpected exception; the chain shields the
     launch and falls through (the final member re-raises).

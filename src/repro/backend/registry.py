@@ -238,10 +238,10 @@ class ResolvedChain:
                     # backend working as designed and count as neither.
                     board.success(backend.name)
                 return
-            ledger.record(
-                self.name, backend.name, "dynamic", "dynamic bail-out"
-            )
-            refusals.append(f"{backend.name}: dynamic bail-out")
+            reason = request.decline_reason or "dynamic bail-out"
+            request.decline_reason = ""
+            ledger.record(self.name, backend.name, "dynamic", reason)
+            refusals.append(f"{backend.name}: {reason}")
             if board is not None and backend is not last:
                 board.release(backend.name)  # no verdict: free probe
             skip_classes.add(backend.dynamic_class)

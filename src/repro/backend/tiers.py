@@ -137,11 +137,16 @@ class InterpBackend(Backend):
         return None
 
     def run(self, plan, request: ExecutionRequest) -> bool:
-        return simt.try_launch(
-            request.parsed, request.kernel, request.gsize, request.lsize,
-            dict(request.base_env), request.local_decls, request.counters,
-            strict=False, pipeline=plan,
-        )
+        try:
+            simt.try_launch(
+                request.parsed, request.kernel, request.gsize, request.lsize,
+                dict(request.base_env), request.local_decls, request.counters,
+                pipeline=plan,
+            )
+        except simt.VectorUnsupported as exc:
+            request.decline_reason = str(exc)
+            return False
+        return True
 
 
 class CompiledBackend(InterpBackend):

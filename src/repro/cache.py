@@ -433,47 +433,50 @@ class TuningCache:
     # ------------------------------------------------------------------
     # eviction
     # ------------------------------------------------------------------
-    @staticmethod
-    def _is_entry(path: Path) -> bool:
-        return path.is_file() and not path.name.startswith(".")
-
     def _evict_locked(self) -> None:
         """LRU eviction down to ``max_bytes``; also sweeps stale temp
-        files left by killed writers.  Caller holds ``_exclusive``."""
+        files left by killed writers.  Caller holds ``_exclusive``.
+
+        Only ``.tmp-*`` names are statted unless a byte budget is set,
+        so with eviction off a put lists the store once instead of
+        statting every live entry."""
         import time
 
         now = time.time()
         entries = []
         total = 0
         try:
-            children = list(self.root.iterdir())
+            with os.scandir(self.root) as it:
+                children = list(it)
         except OSError:
             return
-        for path in children:
-            if path.name.startswith(".tmp-"):
+        for entry in children:
+            if entry.name.startswith(".tmp-"):
                 try:
-                    if now - path.stat().st_mtime > _TMP_MAX_AGE_SECONDS:
-                        path.unlink()
+                    if now - entry.stat().st_mtime > _TMP_MAX_AGE_SECONDS:
+                        os.unlink(entry.path)
                 except OSError:
                     pass
                 continue
-            if not self._is_entry(path):
+            if not self.max_bytes or entry.name.startswith("."):
                 continue
             try:
-                st = path.stat()
+                if not entry.is_file():
+                    continue
+                st = entry.stat()
             except OSError:
                 continue
-            entries.append((st.st_mtime, st.st_size, path))
+            entries.append((st.st_mtime, entry.name, st.st_size, entry.path))
             total += st.st_size
-        if not self.max_bytes or total <= self.max_bytes:
+        if total <= self.max_bytes:
             return
-        entries.sort(key=lambda e: (e[0], e[2].name))
+        entries.sort(key=lambda e: (e[0], e[1]))
         evicted = 0
-        for _, size, path in entries:
+        for _, _, size, path in entries:
             if total <= self.max_bytes:
                 break
             try:
-                path.unlink()
+                os.unlink(path)
             except OSError:
                 continue
             total -= size

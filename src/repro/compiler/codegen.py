@@ -49,6 +49,7 @@ from repro.ir.nodes import (
 )
 from repro.ir import patterns as pat
 from repro.ir.typecheck import infer_fun_type, infer_types
+from repro.ir.visit import clone_decl
 from repro.compiler import cast as c
 from repro.compiler.address_space import infer_address_spaces
 from repro.compiler.barriers import find_removable_barriers
@@ -1120,6 +1121,12 @@ def compile_kernel(
 ) -> CompiledKernel:
     """Compile a Lift IL program (a lambda over arrays) to OpenCL.
 
+    Compilation never mutates ``fun``: type inference, address-space
+    inference and view binding annotate a private :func:`clone_decl`
+    copy.  So ``canonical(fun)``, and every memo and cache key derived
+    from it, is the same before and after the call, and threads may
+    compile one shared program concurrently.
+
     ``memo=False`` bypasses the structural-key compile memo (used by the
     compile-time benchmarks, which must measure a real compilation).
 
@@ -1134,7 +1141,7 @@ def compile_kernel(
     options = options or CompilerOptions()
     if not memo:
         with span("compile", memo=False):
-            return KernelGenerator(options).compile(fun)
+            return KernelGenerator(options).compile(clone_decl(fun))
 
     from repro.ir.structural import canonical
 
@@ -1149,7 +1156,7 @@ def compile_kernel(
                 compile_span.attrs["memo"] = "hit"
                 return hit
         compile_span.attrs["memo"] = "miss"
-        kernel = KernelGenerator(options).compile(fun)
+        kernel = KernelGenerator(options).compile(clone_decl(fun))
     with _COMPILE_MEMO_LOCK:
         _COMPILE_MEMO[key] = kernel
         while len(_COMPILE_MEMO) > _COMPILE_MEMO_SIZE:

@@ -1921,16 +1921,14 @@ def try_launch(
     base_env: dict,
     local_decls: list,
     counters: Counters,
-    strict: bool = False,
     pipeline=None,
-) -> bool:
+) -> None:
     """Run the launch on the vector engine.
 
-    Returns ``True`` on success (counters merged, buffers written).  On a
+    On success the counters are merged and the buffers written.  On a
     dynamic :class:`VectorUnsupported` the global buffers are restored
-    from a snapshot and ``False`` is returned so the caller can re-run
-    the scalar path — unless ``strict`` (``engine="vector"``), which
-    re-raises as :class:`VectorizationError`.
+    from a snapshot before the exception propagates, so the caller can
+    re-run the launch on another tier and report why.
 
     ``pipeline`` is an optional compiled closure pipeline from
     :mod:`repro.opencl.simt_compile`; without one each block interprets
@@ -1948,14 +1946,11 @@ def try_launch(
                 parsed, kernel, gsize, lsize, base_env, local_decls, staged,
                 pipeline,
             )
-    except VectorUnsupported as exc:
-        if strict:
-            raise VectorizationError(str(exc)) from exc
+    except VectorUnsupported:
         for array, saved in snapshot:
             array[:] = saved
-        return False
+        raise
     counters.merge_in(staged)
-    return True
 
 
 def _block_geometry(gsize: tuple, lsize: tuple, whole_grid: bool = False) -> dict:

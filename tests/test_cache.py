@@ -278,6 +278,51 @@ class TestEviction:
         assert paths["b"][1].exists()
         assert cache.stats.evictions == 0
 
+    def test_uncapped_put_does_not_stat_live_entries(self, tmp_path, monkeypatch):
+        cache = TuningCache(tmp_path)  # max_bytes 0 = unlimited
+        self._fill(cache, [f"n{i}" for i in range(200)])
+        (cache.root / ".tmp-inflight").write_bytes(b"a write in progress")
+        stats = []
+        real_stat, real_scandir = os.stat, os.scandir
+
+        def counting_stat(path, *args, **kwargs):
+            stats.append(os.fspath(path))
+            return real_stat(path, *args, **kwargs)
+
+        class CountingEntry:
+            def __init__(self, entry):
+                self._entry = entry
+
+            def __getattr__(self, name):
+                return getattr(self._entry, name)
+
+            def stat(self, **kwargs):
+                stats.append(self._entry.path)
+                return self._entry.stat(**kwargs)
+
+        class CountingScandir:
+            def __init__(self, path):
+                self._it = real_scandir(path)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._it.close()
+
+            def __iter__(self):
+                return (CountingEntry(e) for e in self._it)
+
+        monkeypatch.setattr(os, "stat", counting_stat)
+        monkeypatch.setattr(os, "scandir", CountingScandir)
+        cache.put_cycles("ab" * 32, 1.0)
+        monkeypatch.undo()
+        # The temp file is statted for the stale sweep; the 200 live
+        # entries are not (the rest is directory bookkeeping).
+        assert len(stats) <= 4, stats
+        assert str(cache.root / ".tmp-inflight") in stats
+        assert cache.get_cycles("ab" * 32) == 1.0
+
     def test_stale_tmp_files_are_swept(self, tmp_path):
         cache = TuningCache(tmp_path)
         cache.root.mkdir(parents=True, exist_ok=True)

@@ -11,6 +11,7 @@ refusals and dynamic cross-lane race detection).
 import numpy as np
 import pytest
 
+from repro.backend import ledger
 from repro.opencl import (
     Buffer,
     OpenCLProgram,
@@ -373,6 +374,38 @@ class TestVectorGeometryBuiltins:
             assert a["dots"].data[i] == acc
 
 
+#: Every work-item stages its value through the *same* scratch cell.
+STAGING_RACE = """
+kernel void K(const global float * restrict x, global float *scratch,
+              global float *out) {
+  int i = get_global_id(0);
+  scratch[0] = x[i];
+  out[i] = scratch[0] * 2.0f;
+}
+"""
+
+#: Group 1 writes a flag that group 0 reads after a barrier.
+CROSS_GROUP_RACE = """
+kernel void K(global float *flag, global float *out) {
+  int i = get_global_id(0);
+  if (get_group_id(0) == 1) { flag[0] = 1.0f; }
+  barrier(CLK_LOCAL_MEM_FENCE);
+  if (get_group_id(0) == 0) { out[i] = flag[0]; }
+}
+"""
+
+#: An uninitialised float assigned on half the lanes (the shape of the
+#: accumulators codegen hoists).
+MASKED_TYPE_MIX = """
+kernel void K(global float *out) {
+  int i = get_global_id(0);
+  float acc;
+  if (i % 2 == 0) { acc = 0.5f; }
+  out[i] = acc;
+}
+"""
+
+
 class TestFallback:
     def test_analysis_accepts_plain_kernel(self):
         program = OpenCLProgram(
@@ -402,16 +435,8 @@ class TestFallback:
         # cell — the scalar interpreter's sequential item order makes
         # this "work"; the vector engine must detect the cross-lane race
         # at run time, roll back, and reproduce the scalar result.
-        src = """
-        kernel void K(const global float * restrict x, global float *scratch,
-                      global float *out) {
-          int i = get_global_id(0);
-          scratch[0] = x[i];
-          out[i] = scratch[0] * 2.0f;
-        }
-        """
         x = np.arange(8, dtype=float)
-        program = OpenCLProgram(src)
+        program = OpenCLProgram(STAGING_RACE)
         assert analyze_kernel(program.parsed, program.kernel()) is None
 
         def args():
@@ -434,15 +459,7 @@ class TestFallback:
         # cross-group conflict is order-dependent even when a barrier
         # separates the write from the read.  The vector engine must
         # detect it at any segment distance and fall back.
-        src = """
-        kernel void K(global float *flag, global float *out) {
-          int i = get_global_id(0);
-          if (get_group_id(0) == 1) { flag[0] = 1.0f; }
-          barrier(CLK_LOCAL_MEM_FENCE);
-          if (get_group_id(0) == 0) { out[i] = flag[0]; }
-        }
-        """
-        program = OpenCLProgram(src)
+        program = OpenCLProgram(CROSS_GROUP_RACE)
         assert analyze_kernel(program.parsed, program.kernel()) is None
 
         def args():
@@ -458,6 +475,29 @@ class TestFallback:
         assert vars(c_s) == vars(c_auto)
         with pytest.raises(VectorizationError):
             launch(program, 8, 4, args(), engine="vector")
+
+    @pytest.mark.parametrize("engine", ["auto", "fused"])
+    @pytest.mark.parametrize(
+        "source, buffers, hazard",
+        [
+            (STAGING_RACE, {"x": 8, "scratch": 1, "out": 8},
+             "cross-lane read of an address written by another work-item"),
+            (CROSS_GROUP_RACE, {"flag": 1, "out": 8}, "cross-lane"),
+            (MASKED_TYPE_MIX, {"out": 8},
+             "masked assignment mixes integer and float lanes"),
+        ],
+        ids=["staging-race", "cross-group-race", "masked-type-mix"],
+    )
+    def test_ledger_names_the_dynamic_hazard(self, engine, source, buffers,
+                                             hazard):
+        ledger.clear()
+        args = {name: Buffer.zeros(n) for name, n in buffers.items()}
+        launch(OpenCLProgram(source), 8, 4, args, engine=engine)
+        dynamic = [e for e in ledger.events() if e.kind == "dynamic"]
+        ledger.clear()
+        assert dynamic
+        for event in dynamic:
+            assert hazard in event.reason, event
 
     def test_rollback_restores_buffers(self):
         # The race is only hit after some lanes already stored; auto mode
