@@ -3,8 +3,8 @@
 Tracks how many work-items per second the NDRange simulator executes for
 representative kernels — useful for sizing future experiments.  Each
 benchmark is parametrized over the execution backend (``scalar``
-reference interpreter, ``interp``retive lane-batched walk, ``compiled``
-closure pipeline, ``fused`` whole-grid numpy programs) so each
+reference interpreter, ``compiled`` closure pipeline, ``fused``
+whole-grid numpy programs) so each
 backend's speedup is tracked as a first-class number (baseline:
 ``BENCH_simulator.json``; regression gate: ``check_perf_regression.py``,
 which also gates the fused-vs-compiled SAXPY ratio — the fusion win).
@@ -45,7 +45,7 @@ kernel void REDUCE(const global float * restrict x, global float *out) {
 REDUCTION_N = 1024
 REDUCTION_LOCAL = 64
 
-ENGINES = ("scalar", "interp", "compiled", "fused")
+ENGINES = ("scalar", "compiled", "fused")
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -8,12 +8,12 @@ compile -> launch -> buffers + counters protocol, registered by name in
 ``engine=`` / ``REPRO_SIM_ENGINE`` strings into fallback chains of
 them.
 
-Built-in backends: ``scalar`` (reference interpreter), ``interp``
-(lane-batched interpretive walk), ``compiled`` (closure pipeline) —
-both blocked — and ``fused`` (whole-grid fused numpy array programs,
-:mod:`repro.backend.fused`).  All are bitwise-identical in buffer
-contents and :class:`~repro.opencl.interp.Counters` on every launch
-they complete; see ``src/repro/opencl/ENGINES.md``.
+Built-in backends: ``scalar`` (reference interpreter), ``compiled``
+(lane-batched blocks driven by the closure pipeline) and ``fused``
+(whole-grid fused numpy array programs, :mod:`repro.backend.fused`).
+All are bitwise-identical in buffer contents and
+:class:`~repro.opencl.interp.Counters` on every launch they complete;
+see ``src/repro/opencl/ENGINES.md``.
 """
 
 from repro.backend.base import Backend, CompileUnsupported, ExecutionRequest

@@ -1,13 +1,12 @@
 """Common protocol of the pluggable execution backends.
 
 A *backend* is one way of running a kernel launch on the simulated
-device: the scalar reference interpreter, the lane-batched interpretive
-walk, the closure-compiled pipeline, or the whole-grid fused-numpy
-engine.  Every backend obeys one contract — **bitwise-identical buffer
-contents and identical** :class:`~repro.opencl.interp.Counters` for
-every launch it completes — so the launcher may pick any of them (and
-fall through a chain of them) without observable differences beyond
-speed.
+device: the scalar reference interpreter, the closure-compiled
+lane-batched pipeline, or the whole-grid fused-numpy engine.  Every
+backend obeys one contract — **bitwise-identical buffer contents and
+identical** :class:`~repro.opencl.interp.Counters` for every launch it
+completes — so the launcher may pick any of them (and fall through a
+chain of them) without observable differences beyond speed.
 
 The life cycle mirrors an OpenCL driver:
 
@@ -77,23 +76,10 @@ class ExecutionRequest:
 
 
 class Backend:
-    """Base class of the execution backends (see the module docstring).
-
-    ``dynamic_class`` groups backends that share one dynamic-refusal
-    behaviour: when a backend refuses a launch *dynamically*, trying
-    another backend of the same class is pointless (it would detect the
-    same condition), so the fallback chain skips ahead to the next
-    class.  The lane-batched tiers (interpretive and compiled) share
-    ``"blocked"``; the fused whole-grid engine is ``"grid"`` (its race
-    detector sees cross-group conflicts the blocked tiers order by
-    construction); the scalar reference is ``"scalar"`` and never
-    refuses.
-    """
+    """Base class of the execution backends (see the module docstring)."""
 
     #: Registry name (also the ``launch(engine=...)`` spelling).
     name: str = ""
-    #: Dynamic-refusal equivalence class (see above).
-    dynamic_class: str = ""
     #: One-line description for the registry listing.
     description: str = ""
 

@@ -1,13 +1,13 @@
 """The whole-grid fused-numpy execution backend.
 
-The blocked tiers (:mod:`repro.opencl.simt` / ``simt_compile``) execute
-one block of work-groups at a time and pay, per element, a handful of
-numpy passes for dynamic race detection and fancy-indexed memory
-traffic.  This backend executes the **entire launch as one block** —
-one ``(num_groups, lanes_per_group)`` axis, flattened — and compiles
-barrier-delimited straight-line segments into *fused numpy array
-programs* that eliminate those passes where a static proof replaces the
-dynamic machinery:
+The blocked ``compiled`` tier (:mod:`repro.opencl.simt` driven by
+``simt_compile``) executes one block of work-groups at a time and pays,
+per element, a handful of numpy passes for dynamic race detection and
+fancy-indexed memory traffic.  This backend executes the **entire
+launch as one block** — one ``(num_groups, lanes_per_group)`` axis,
+flattened — and compiles barrier-delimited straight-line segments into
+*fused numpy array programs* that eliminate those passes where a static
+proof replaces the dynamic machinery:
 
 * **lazy affine values** — ``get_global_id(0)`` and integer arithmetic
   on it stay a symbolic ``base + g*group + l*lane`` descriptor
@@ -1419,7 +1419,6 @@ class FusedBackend(Backend):
     """Whole-grid fused-numpy execution (see the module docstring)."""
 
     name = "fused"
-    dynamic_class = "grid"
     description = "whole-grid fused numpy array programs"
 
     def plan(self, parsed, kernel):
@@ -1436,6 +1435,6 @@ class FusedBackend(Backend):
 register_backend(FusedBackend())
 register_engine(
     "fused",
-    ("fused", "compiled", "interp", "scalar"),
-    description="whole-grid fused numpy -> compiled -> interp -> scalar",
+    ("fused", "compiled", "scalar"),
+    description="whole-grid fused numpy -> compiled -> scalar",
 )

@@ -3,29 +3,28 @@
 Two name spaces live here:
 
 * **backend names** — concrete :class:`~repro.backend.base.Backend`
-  implementations (``scalar``, ``interp``, ``compiled``, ``fused``),
-  registered with :func:`register_backend`;
+  implementations (``scalar``, ``compiled``, ``fused``), registered
+  with :func:`register_backend`;
 * **engine names** — what ``launch(engine=...)`` / ``REPRO_SIM_ENGINE``
   accept.  Every engine name resolves to an ordered *fallback chain* of
   backends plus a strictness flag, registered with
   :func:`register_engine`.  Single-backend strict engines (``compiled``)
   and multi-tier preferences (``auto``, ``fused``) are the same
-  mechanism; the historical tier names stay as chain aliases.
+  mechanism.
 
 Chain semantics (:meth:`ResolvedChain.execute`):
 
-1. Backends are tried in order.  A static refusal
-   (:class:`CompileUnsupported` from ``plan`` — or from ``run`` before
-   any buffer was touched, e.g. a launch-shape cap) falls through to
-   the next backend.
-2. A *dynamic* refusal (``run`` returns ``False`` after rolling the
-   buffers back) skips every remaining backend of the same
-   ``dynamic_class`` — a same-class backend would detect the same
-   condition — and continues with the next class.
+1. Each backend is tried once, in order; a chain lists a backend at
+   most once (:func:`register_engine` rejects duplicates), so a backend
+   that declined is never re-run in the same launch.
+2. A static refusal (:class:`CompileUnsupported` from ``plan`` — or
+   from ``run`` before any buffer was touched, e.g. a launch-shape cap)
+   and a *dynamic* refusal (``run`` returns ``False`` after rolling the
+   buffers back) both fall through to the next backend.
 3. A strict chain that runs out of backends raises
-   :class:`~repro.opencl.simt.VectorizationError` (the historical
-   behaviour of forcing ``engine="vector"`` onto an unsupported
-   kernel); graceful chains end in ``scalar``, which always succeeds.
+   :class:`~repro.opencl.simt.VectorizationError` (e.g. forcing
+   ``engine="compiled"`` onto an unsupported kernel); graceful chains
+   end in ``scalar``, which always succeeds.
 4. Every decline — static, dynamic, an unexpected ``plan()`` crash
    (shielded for non-final members), an injected ``backend-run``
    fault, or an open circuit breaker — is recorded in the degradation
@@ -38,10 +37,9 @@ Chain semantics (:meth:`ResolvedChain.execute`):
 
 ``REPRO_SIM_ENGINE`` expresses a *preferred default*, not a hard
 requirement: resolving a strict engine name from the environment
-(:func:`resolve` with ``prefer=True``) extends the chain with the
-remaining graceful tiers so a whole test-suite run can be steered
-through one backend without breaking kernels only the scalar reference
-supports.
+(:func:`resolve` with ``prefer=True``) appends ``scalar`` to the chain
+so a whole test-suite run can be steered through one backend without
+breaking kernels only the scalar reference supports.
 """
 
 from __future__ import annotations
@@ -95,9 +93,13 @@ def register_engine(
     description: str = "",
     replace: bool = False,
 ) -> EngineSpec:
-    """Register an engine name resolving to a backend fallback chain."""
+    """Register an engine name resolving to a backend fallback chain.
+
+    A chain lists each backend at most once."""
     if name in _ENGINES and not replace:
         raise ValueError(f"engine {name!r} is already registered")
+    if len(set(members)) != len(members):
+        raise ValueError(f"engine {name!r} lists a backend twice: {members}")
     for member in members:
         if member not in _BACKENDS:
             raise ValueError(
@@ -146,7 +148,6 @@ class ResolvedChain:
         from repro.service import breaker as breaker_mod
 
         refusals = []
-        skip_classes: set = set()
         last = self.members[-1] if self.members else None
         # The service's circuit-breaker board, when one is installed
         # (repro.service.breaker): a backend with repeated crash/fault
@@ -156,8 +157,6 @@ class ResolvedChain:
         board = breaker_mod.installed()
         metrics.inc("launch.total")
         for backend in self.members:
-            if backend.dynamic_class in skip_classes:
-                continue
             if (
                 board is not None
                 and backend is not last
@@ -244,7 +243,6 @@ class ResolvedChain:
             refusals.append(f"{backend.name}: {reason}")
             if board is not None and backend is not last:
                 board.release(backend.name)  # no verdict: free probe
-            skip_classes.add(backend.dynamic_class)
         detail = "; ".join(refusals) or "empty backend chain"
         kind = "strict engine" if self.strict else "engine"
         raise VectorizationError(
@@ -257,8 +255,8 @@ def resolve(name: str, prefer: bool = False) -> ResolvedChain:
     """Resolve an engine name to its backend chain.
 
     ``prefer`` marks the name as a *preference* (the ``REPRO_SIM_ENGINE``
-    path): strict chains gain the remaining graceful tiers so the run
-    never fails on kernels the preferred backend cannot execute.
+    path): strict chains gain a ``scalar`` tail so the run never fails
+    on kernels the preferred backend cannot execute.
     """
     spec = _ENGINES.get(name)
     if spec is None:
@@ -269,9 +267,8 @@ def resolve(name: str, prefer: bool = False) -> ResolvedChain:
     members = list(spec.members)
     strict = spec.strict
     if prefer and strict:
-        for tail in ("interp", "scalar"):
-            if tail in _BACKENDS and tail not in members:
-                members.append(tail)
+        if "scalar" in _BACKENDS and "scalar" not in members:
+            members.append("scalar")
         strict = False
     return ResolvedChain(
         spec.name, tuple(get_backend(m) for m in members), strict

@@ -59,8 +59,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--engine", default=None,
         help="execution backend for figure8/explore launches (any name "
-             "registered in repro.backend: auto, fused, compiled, interp, "
-             "scalar, ...)",
+             "registered in repro.backend: auto, fused, compiled, scalar, "
+             "...)",
     )
     parser.add_argument(
         "--clients", type=int, default=8,

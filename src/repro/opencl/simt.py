@@ -1,27 +1,36 @@
-"""Lane-batched SIMT execution engine for the OpenCL simulator.
+"""Lane-batched SIMT block runtime of the OpenCL simulator.
 
 The scalar interpreter in :mod:`repro.opencl.interp` walks the kernel AST
-once per work-item, which makes the Figure 8 runs and the autotuner's
-execute-and-rank loop interpreter-bound.  This module executes the kernel
+once per work-item.  The lane-batched tiers instead execute the kernel
 body *once per block of work-groups*, holding every scalar variable as a
 numpy array over lanes (one lane per work-item) and turning control flow
-into boolean lane masks:
+into boolean lane masks.  :mod:`repro.opencl.simt_compile` lowers the
+kernel AST into closures once per program; this module is the runtime
+those closures drive:
+
+* :func:`analyze_kernel` — the static vectorizability analysis;
+* :class:`_Block` — one block's lane geometry, variable environment,
+  masked binding/merge, gathers and scatters, race detectors and
+  counter accounting;
+* :func:`try_launch` — lays the launch out in blocks, runs the closure
+  pipeline over each, and rolls the buffers back on a dynamic bail-out.
+
+The masked control-flow semantics the closures implement:
 
 * ``if``      — both branches execute under complementary sub-masks; a
   branch with no active lane is skipped entirely.
 * ``for`` / ``while`` — iterate while any lane is still active; a lane
   whose condition fails (or that hit ``return``) drops out of the mask.
-* ``barrier`` — trivially satisfied: lanes execute in lock-step.  A
-  static analysis (:func:`analyze_kernel`) only admits kernels whose
-  barriers sit under *group-uniform* control flow, so within each
-  work-group the mask at a barrier is all-or-nothing, which is exactly
-  the OpenCL contract.
+* ``barrier`` — trivially satisfied: lanes execute in lock-step.  The
+  static analysis only admits kernels whose barriers sit under
+  *group-uniform* control flow, so within each work-group the mask at a
+  barrier is all-or-nothing, which is exactly the OpenCL contract.
 * loads/stores — gathers and scatters (`numpy` fancy indexing); scatter
   writes resolve duplicate addresses in ascending lane order, which is a
   conforming behaviour for data-race-free kernels (the only ones whose
   result OpenCL defines).
 
-The engine is an exact stand-in for the scalar path: it produces
+The runtime is an exact stand-in for the scalar path: it produces
 bitwise-identical buffer contents *and* identical :class:`Counters`
 (memory ops per address space, flops, barriers, branches, cached loads)
 for every supported kernel.  Cached-load accounting mirrors the
@@ -91,7 +100,8 @@ class VectorUnsupported(Exception):
 
 
 class VectorizationError(ExecError):
-    """Raised when ``engine="vector"`` is forced on an unsupported kernel."""
+    """Raised when a strict engine (``engine="compiled"``) is forced on a
+    kernel none of its backends can run."""
 
 
 _VEC_MEMBERS = {"x": 0, "y": 1, "z": 2, "w": 3}
@@ -110,8 +120,6 @@ _GEOMETRY = _GEOM_UNIFORM | _GEOM_LANE
 #: (``np.dot``); both engines now share an explicitly-ordered reduction
 #: (see :func:`_lane_dot`), so the set is currently empty.
 _UNSUPPORTED_BUILTINS: set = set()
-
-_CMP_OPS = ("==", "!=", "<", ">", "<=", ">=")
 
 
 def _is_vload(name: str) -> bool:
@@ -662,7 +670,8 @@ def _is_int_like(v) -> bool:
 # ---------------------------------------------------------------------------
 
 class _Block:
-    """Executes one block of whole work-groups in lock-step."""
+    """Runtime state of one block of whole work-groups executing in
+    lock-step; the closure pipeline's segments run against it."""
 
     def __init__(
         self,
@@ -708,77 +717,7 @@ class _Block:
         self._lanes_per_group = local_size[0] * local_size[1] * local_size[2]
         self._full = full if full is not None else np.ones(lanes, dtype=bool)
 
-    # -- top level -------------------------------------------------------
-    def run(self, kernel: c.CFunctionDef) -> None:
-        frame = _Frame(self.L)
-        self.exec_stmt(kernel.body, self._full, self.L, frame)
-        self._flush_load_log()
-
-    # -- statements ------------------------------------------------------
-    def exec_stmt(self, s, m, n, frame) -> None:
-        t = type(s)
-        if t is c.CBlock:
-            for sub in s.stmts:
-                if frame.returned_any:
-                    m = m & ~frame.ret_mask
-                    n = int(np.count_nonzero(m))
-                    if n == 0:
-                        return
-                self.exec_stmt(sub, m, n, frame)
-        elif t is c.CAssign:
-            self._assign(s, m, n)
-        elif t is c.CDecl:
-            self._declare(s, m, n)
-        elif t is c.CFor:
-            if s.init is not None:
-                self.exec_stmt(s.init, m, n, frame)
-            active = m & ~frame.ret_mask if frame.returned_any else m
-            while True:
-                na = int(np.count_nonzero(active))
-                if na == 0:
-                    break
-                if s.cond is not None:
-                    cv = self._as_bool(self.eval(s.cond, active, na), active)
-                    active = active & cv
-                    na = int(np.count_nonzero(active))
-                    if na == 0:
-                        break
-                self.counters.loop_iterations += na
-                self.exec_stmt(s.body, active, na, frame)
-                if frame.returned_any:
-                    active = active & ~frame.ret_mask
-                    na = int(np.count_nonzero(active))
-                    if na == 0:
-                        break
-                if s.step is not None:
-                    self.exec_stmt(s.step, active, na, frame)
-        elif t is c.CIf:
-            self.counters.branches += n
-            cv = self._as_bool(self.eval(s.cond, m, n), m)
-            mt = m & cv
-            nt = int(np.count_nonzero(mt))
-            if nt:
-                self.exec_stmt(s.then, mt, nt, frame)
-            if s.otherwise is not None and nt < n:
-                mf = m & ~cv
-                self.exec_stmt(s.otherwise, mf, n - nt, frame)
-        elif t is c.CExprStmt:
-            self.eval(s.expr, m, n)
-        elif t is c.CReturn:
-            value = self.eval(s.value, m, n) if s.value is not None else None
-            self._set_return(frame, m, value)
-        elif t is c.CComment:
-            pass
-        elif t is c.CBarrier:
-            # The static analysis guarantees the mask is all-or-nothing
-            # per work-group here, so lock-step execution satisfies the
-            # barrier and each active item counts one, as in the scalar
-            # generator path.
-            self.counters.barriers += n
-            self._segment += 1
-        else:
-            raise VectorUnsupported(f"cannot execute {s!r}")
-
+    # -- returns and masked bindings -------------------------------------
     def _set_return(self, frame, m, value) -> None:
         if value is None:
             if frame.has_value:
@@ -792,80 +731,6 @@ class _Block:
             frame.ret_val = self._merge(frame.ret_val, value, m)
         frame.ret_mask |= m
         frame.returned_any = True
-
-    # -- declarations ----------------------------------------------------
-    def _declare(self, decl: c.CDecl, m, n) -> None:
-        name = decl.name
-        if decl.qualifier == "local" and decl.array_size is not None:
-            if name not in self.env:
-                raise ExecError(f"local buffer {name} was not pre-allocated")
-            return
-        if decl.array_size is not None:
-            dtype = (
-                np.int64 if decl.type_name in ("int", "uint", "long") else np.float64
-            )
-            self.env[name] = RowPtr(
-                np.zeros((self.L, decl.array_size), dtype=dtype),
-                self._lane_ids,
-                0,
-                "private",
-            )
-            return
-        if decl.init is not None:
-            self._bind(name, self.eval(decl.init, m, n), m, n, declaring=True)
-            return
-        struct = self.parsed.structs.get(decl.type_name)
-        if struct is not None:
-            self._bind(
-                name, {member: 0.0 for _, member in struct.members}, m, n,
-                declaring=True,
-            )
-        elif decl.type_name.rstrip("1234568") in ("float", "int", "uint", "double"):
-            width = decl.type_name.lstrip("floatinudbe")
-            if width and width in ("2", "3", "4", "8", "16"):
-                self._bind(
-                    name, np.zeros((self.L, int(width))), m, n, declaring=True
-                )
-            else:
-                self._bind(name, 0, m, n, declaring=True)
-        else:
-            self._bind(name, 0, m, n, declaring=True)
-
-    # -- assignment ------------------------------------------------------
-    def _assign(self, s: c.CAssign, m, n) -> None:
-        value = self.eval(s.value, m, n)
-        if s.op != "=":
-            current = self.eval(s.target, m, n)
-            op = s.op[0]
-            value = self._binop_value(op, current, value, m, n)
-            self._count_binop(op, current, value, n)
-        target = s.target
-        if isinstance(target, c.CIdent):
-            self._bind(target.name, value, m, n)
-        elif isinstance(target, c.CIndex):
-            base = self.eval(target.base, m, n)
-            index = self.eval(target.index, m, n)
-            if not isinstance(base, (VPtr, RowPtr)):
-                raise ExecError(f"indexed store into non-pointer {target.base!r}")
-            self._scatter(base, index, value, m, n)
-        elif isinstance(target, c.CMember):
-            container = self.eval(target.base, m, n)
-            if isinstance(container, dict):
-                if n == self.L:
-                    container[target.member] = value
-                else:
-                    old = container.get(target.member, 0.0)
-                    container[target.member] = self._merge(old, value, m)
-            elif isinstance(container, np.ndarray) and container.ndim == 2:
-                col = _VEC_MEMBERS[target.member]
-                if n == self.L:
-                    container[:, col] = value
-                else:
-                    container[m, col] = self._lanes(value)[m]
-            else:
-                raise ExecError(f"member store into {container!r}")
-        else:
-            raise ExecError(f"cannot assign to {target!r}")
 
     def _bind(self, name, value, m, n, declaring: bool = False) -> None:
         if n == self.L:
@@ -937,189 +802,6 @@ class _Block:
         if _is_uniform(old) and _is_uniform(new) and old == new:
             return old
         return np.where(m, new, old)
-
-    # -- expressions -----------------------------------------------------
-    def eval(self, e, m, n):
-        t = type(e)
-        if t is c.CInt:
-            return e.value
-        if t is c.CFloat:
-            return e.value
-        if t is c.CIdent:
-            try:
-                return self.env[e.name]
-            except KeyError:
-                raise ExecError(f"undefined identifier {e.name!r}") from None
-        if t is c.CBinOp:
-            op = e.op
-            if op == "&&" or op == "||":
-                lb = self._as_bool(self.eval(e.lhs, m, n), m)
-                m2 = (m & lb) if op == "&&" else (m & ~lb)
-                n2 = int(np.count_nonzero(m2))
-                if n2:
-                    rb = self._as_bool(self.eval(e.rhs, m2, n2), m2)
-                else:
-                    rb = np.zeros(self.L, dtype=bool)
-                return (lb & rb) if op == "&&" else (lb | rb)
-            lhs = self.eval(e.lhs, m, n)
-            rhs = self.eval(e.rhs, m, n)
-            self._count_binop(op, lhs, rhs, n, const_rhs=type(e.rhs) is c.CInt)
-            return self._binop_value(op, lhs, rhs, m, n)
-        if t is c.CUnOp:
-            v = self.eval(e.operand, m, n)
-            if e.op == "-":
-                return -v
-            if e.op == "!":
-                return ~self._as_bool(v, m)
-            raise ExecError(f"unknown unary operator {e.op}")
-        if t is c.CTernary:
-            self.counters.branches += n
-            cv = self._as_bool(self.eval(e.cond, m, n), m)
-            mt = m & cv
-            nt = int(np.count_nonzero(mt))
-            nf = n - nt
-            if nf == 0:
-                return self.eval(e.then, mt, nt)
-            mf = m & ~cv
-            if nt == 0:
-                return self.eval(e.otherwise, mf, nf)
-            tv = self.eval(e.then, mt, nt)
-            fv = self.eval(e.otherwise, mf, nf)
-            return self._merge(fv, tv, cv)
-        if t is c.CIndex:
-            base = self.eval(e.base, m, n)
-            index = self.eval(e.index, m, n)
-            if isinstance(base, (VPtr, RowPtr)):
-                return self._gather(base, index, m, n)
-            if isinstance(base, np.ndarray) and base.ndim == 2:
-                if _is_uniform(index):
-                    return base[:, int(index)]
-                idx = np.where(m, index, 0)
-                return np.take_along_axis(base, idx[:, None], 1)[:, 0]
-            raise ExecError(f"cannot index {base!r}")
-        if t is c.CMember:
-            container = self.eval(e.base, m, n)
-            if isinstance(container, dict):
-                return container[e.member]
-            if isinstance(container, np.ndarray) and container.ndim == 2:
-                member = e.member
-                if member in _VEC_MEMBERS:
-                    return container[:, _VEC_MEMBERS[member]]
-                if member.startswith("s"):
-                    return container[:, int(member[1:], 16)]
-                if member == "lo":
-                    return container[:, : container.shape[1] // 2].copy()
-                if member == "hi":
-                    return container[:, container.shape[1] // 2 :].copy()
-            raise ExecError(f"cannot take member {e.member} of {container!r}")
-        if t is c.CCall:
-            return self._call(e, m, n)
-        if t is c.CCast:
-            v = self.eval(e.operand, m, n)
-            if e.type_name in ("int", "uint", "long"):
-                if isinstance(v, np.ndarray):
-                    return v.astype(np.int64)  # truncates toward zero, like C
-                return int(v)
-            if e.type_name in ("float", "double"):
-                if isinstance(v, np.ndarray):
-                    return v.astype(np.float64)
-                return float(v)
-            return v
-        if t is c.CVectorLiteral:
-            items = [self.eval(i, m, n) for i in e.items]
-            width = int("".join(ch for ch in e.type_name if ch.isdigit()))
-            if len(items) == 1:
-                items = items * width
-            out = np.empty((self.L, width), dtype=np.float64)
-            for col, item in enumerate(items):
-                out[:, col] = item
-            return out
-        raise VectorUnsupported(f"cannot evaluate {e!r}")
-
-    # -- calls and built-ins ---------------------------------------------
-    def _call(self, e: c.CCall, m, n):
-        name = e.func
-        if name.startswith("get_"):
-            if e.args:
-                dim = self.eval(e.args[0], m, n)
-                if not _is_uniform(dim):
-                    raise VectorUnsupported("lane-varying geometry dimension")
-                dim = int(dim)
-            else:
-                dim = 0
-            return self._geometry(name, dim)
-        if _is_vload(name):
-            width = int(name[5:])
-            offset = self.eval(e.args[0], m, n)
-            ptr = self.eval(e.args[1], m, n)
-            assert isinstance(ptr, (VPtr, RowPtr))
-            return self._vload(ptr, offset, width, m, n)
-        if _is_vstore(name):
-            width = int(name[6:])
-            value = self.eval(e.args[0], m, n)
-            offset = self.eval(e.args[1], m, n)
-            ptr = self.eval(e.args[2], m, n)
-            assert isinstance(ptr, (VPtr, RowPtr))
-            self._vstore(ptr, offset, width, value, m, n)
-            return None
-
-        args = [self.eval(a, m, n) for a in e.args]
-        builtin = _VMATH.get(name)
-        if builtin is not None:
-            cost, fn = builtin
-            width = 1
-            for a in args:
-                if isinstance(a, np.ndarray) and a.ndim == 2:
-                    width = a.shape[1]
-                    break
-            self.counters.flops += cost * width * n
-            return fn(*args)
-        if name in _UNSUPPORTED_BUILTINS:
-            raise VectorUnsupported(f"builtin {name!r}")
-
-        fn_def = self.parsed.functions.get(name)
-        if fn_def is None:
-            raise ExecError(f"call to unknown function {name!r}")
-        self.counters.calls += n
-        return self._call_helper(fn_def, args, m, n)
-
-    def _call_helper(self, fn: c.CFunctionDef, args, m, n):
-        saved = self.env
-        # C passes structs and vectors by value.
-        by_value = [
-            dict(a) if isinstance(a, dict)
-            else a.copy() if isinstance(a, np.ndarray)
-            else a
-            for a in args
-        ]
-        self.env = dict((p.name, a) for p, a in zip(fn.params, by_value))
-        frame = _Frame(self.L)
-        try:
-            self.exec_stmt(fn.body, m, n, frame)
-        finally:
-            self.env = saved
-        if not frame.has_value:
-            return None
-        if bool((m & ~frame.ret_mask).any()):
-            raise VectorUnsupported(
-                f"helper {fn.name!r} returns a value on only some lanes"
-            )
-        return frame.ret_val
-
-    def _geometry(self, name: str, dim: int):
-        if name == "get_global_id":
-            return self.gid[dim]
-        if name == "get_local_id":
-            return self.lid[dim]
-        if name == "get_group_id":
-            return self.group_ids[dim]
-        if name == "get_local_size":
-            return self.local_size[dim]
-        if name == "get_global_size":
-            return self.global_size[dim]
-        if name == "get_num_groups":
-            return self.num_groups[dim]
-        raise ExecError(f"unknown geometry builtin {name}")
 
     # -- memory ----------------------------------------------------------
     def _lanes(self, v) -> np.ndarray:
@@ -1402,42 +1084,6 @@ class _Block:
                 lhs = lhs[:, None]
         return lhs, rhs
 
-    def _binop_value(self, op, lhs, rhs, m, n):
-        if isinstance(lhs, (VPtr, RowPtr)):
-            if op == "+":
-                return lhs.plus(rhs)
-            if op == "-":
-                return lhs.plus(-rhs)
-            raise ExecError(f"unsupported pointer operation {op}")
-        lhs, rhs = self._align(lhs, rhs)
-        if op == "+":
-            return lhs + rhs
-        if op == "-":
-            return lhs - rhs
-        if op == "*":
-            return lhs * rhs
-        if op == "/":
-            if _is_int_like(lhs) and _is_int_like(rhs):
-                return self._int_div(lhs, rhs, m)
-            return lhs / rhs
-        if op == "%":
-            if _is_int_like(lhs) and _is_int_like(rhs):
-                return self._int_mod(lhs, rhs, m)
-            return np.fmod(lhs, rhs)  # C fmod semantics, like math.fmod
-        if op == "==":
-            return lhs == rhs
-        if op == "!=":
-            return lhs != rhs
-        if op == "<":
-            return lhs < rhs
-        if op == ">":
-            return lhs > rhs
-        if op == "<=":
-            return lhs <= rhs
-        if op == ">=":
-            return lhs >= rhs
-        raise ExecError(f"unknown operator {op}")
-
     def _int_div(self, a, b, m):
         if _is_uniform(a) and _is_uniform(b):
             return _c_int_div(int(a), int(b))
@@ -1454,29 +1100,6 @@ class _Block:
         q = self._int_div(a, b, m)
         safe = np.where(np.equal(b, 0), 1, b)
         return a - q * safe
-
-    def _count_binop(self, op, lhs, rhs, n, const_rhs: bool = False) -> None:
-        counters = self.counters
-        if op in _CMP_OPS:
-            counters.iops += n
-            return
-        if _is_floatish(lhs) or _is_floatish(rhs):
-            counters.flops += max(_vec_width(lhs), _vec_width(rhs)) * n
-        elif op in ("/", "%"):
-            if (
-                const_rhs
-                and _is_int_like(rhs)
-                and _is_uniform(rhs)
-                and int(rhs) > 0
-                and (int(rhs) & (int(rhs) - 1)) == 0
-            ):
-                counters.iops += n
-            elif const_rhs:
-                counters.idivmod_const += n
-            else:
-                counters.idivmod += n
-        else:
-            counters.iops += n
 
 
 _MISSING = object()
@@ -1921,18 +1544,15 @@ def try_launch(
     base_env: dict,
     local_decls: list,
     counters: Counters,
-    pipeline=None,
+    pipeline,
 ) -> None:
-    """Run the launch on the vector engine.
+    """Run the launch block by block through ``pipeline``, a closure
+    pipeline from :mod:`repro.opencl.simt_compile`.
 
     On success the counters are merged and the buffers written.  On a
     dynamic :class:`VectorUnsupported` the global buffers are restored
     from a snapshot before the exception propagates, so the caller can
     re-run the launch on another tier and report why.
-
-    ``pipeline`` is an optional compiled closure pipeline from
-    :mod:`repro.opencl.simt_compile`; without one each block interprets
-    the kernel AST.
     """
     snapshot = [
         (v.array, v.array.copy())
@@ -2040,8 +1660,7 @@ def _block_geometry(gsize: tuple, lsize: tuple, whole_grid: bool = False) -> dic
 
 
 def _run_blocks(
-    parsed, kernel, gsize, lsize, base_env, local_decls, counters,
-    pipeline=None,
+    parsed, kernel, gsize, lsize, base_env, local_decls, counters, pipeline,
 ):
     geometry = _block_geometry(gsize, lsize)
     num_groups = geometry["num_groups"]
@@ -2093,11 +1712,8 @@ def _run_blocks(
         )
         block.env = env
         try:
-            if pipeline is not None:
-                pipeline.run(block)
-                block._flush_load_log()
-            else:
-                block.run(kernel)
+            pipeline.run(block)
+            block._flush_load_log()
         finally:
             _pool_tls.epoch = block._segment + 1
             _release_hazards(block._hazards)

@@ -1,16 +1,16 @@
 """Closure compilation for the lane-batched SIMT engine.
 
-The interpretive vector engine of :mod:`repro.opencl.simt` re-walks the
-kernel AST for every block of work-groups: each statement pays a type
-dispatch, each operator a string comparison, each builtin a table
-lookup.  After the PR 1/PR 2 batching work those dispatch costs — not
-the numpy arithmetic — dominate the simulator, because every block (and
-every launch of the autotune/explore loops) repeats them unchanged.
+The lane-batched block runtime of :mod:`repro.opencl.simt` executes a
+kernel once per block of work-groups.  Walking the kernel AST for every
+block would pay, per statement, a type dispatch, per operator a string
+comparison and per builtin a table lookup — dispatch costs that
+dominate the simulator once the numpy arithmetic is batched, because
+every block (and every launch of the autotune/explore loops) repeats
+them unchanged.
 
-This module pays the walk **once per kernel**: the AST is lowered into a
-pipeline of Python closures over the lane-array runtime of
-:class:`repro.opencl.simt._Block`.  Compilation resolves statically
-everything the interpreter re-derives dynamically:
+This module pays that walk **once per kernel**: the AST is lowered into
+a pipeline of Python closures over the lane-array runtime of
+:class:`repro.opencl.simt._Block`.  Compilation resolves statically:
 
 * statement and expression dispatch (one closure per node, built once);
 * operator selection (``+`` compiles to ``operator.add``, comparisons to
@@ -21,8 +21,8 @@ everything the interpreter re-derives dynamically:
 * helper functions (compiled once, called with by-value argument
   copies and their own return-mask frame);
 * group-uniform conditions: a loop or branch condition that evaluates to
-  a Python scalar skips the mask-materialization entirely (the
-  interpreter broadcasts it to a full lane mask and re-ands).
+  a Python scalar skips the mask-materialization entirely (no broadcast
+  to a full lane mask and re-and).
 
 The compiled pipeline is segmented at top-level barriers — one closure
 sequence per barrier-delimited region — mirroring how the scalar engine
@@ -31,13 +31,12 @@ nested in (group-uniform) loops stay inside their segment's loop
 closure.
 
 Closures run against a :class:`~repro.opencl.simt._Block` instance and
-call the exact same memory, merge and counter helpers as the
-interpretive walk, so compiled execution is bitwise-identical by
-construction: same buffer contents, same :class:`Counters`.  Anything
-the compiler cannot express raises :class:`CompileUnsupported` at
-compile time and the launcher falls back to the interpretive vector
-walk (and from there, dynamically, to the scalar reference
-interpreter) — the three execution tiers behind ``engine="auto"``.
+call its memory, merge and counter helpers, which mirror the scalar
+reference interpreter operation for operation: same buffer contents,
+same :class:`Counters`.  Anything the compiler cannot express raises
+:class:`CompileUnsupported` at compile time and the ``compiled`` backend
+declines the kernel (a graceful engine chain then runs it on the scalar
+reference interpreter, as it does after a dynamic bail-out).
 
 Pipelines are cached on the parsed program (which the runtime shares
 per source through an LRU), alongside the vectorizability analysis, so
@@ -80,7 +79,8 @@ _align = _Block._align
 
 
 class CompileUnsupported(Exception):
-    """Static refusal: run the interpretive vector walk instead."""
+    """Static refusal: this backend cannot run the kernel, try the next
+    one in the engine chain."""
 
 
 # Expression closures take ``(block, mask, active_count)`` and return a
@@ -212,8 +212,9 @@ def _compile_binop(e: c.CBinOp, ctx: _Ctx) -> ExprFn:
 def _binop_parts(op: str, const_rhs: bool):
     """(value_of(b, l, r, m), count(b, l, r, n)) for one operator.
 
-    Mirrors ``_Block._binop_value`` / ``_Block._count_binop`` with the
-    operator dispatch resolved at compile time.
+    Mirrors the scalar interpreter's ``_binop_value`` / ``_count_binop``
+    over lane arrays, with the operator dispatch resolved at compile
+    time.
     """
     simple = _ARITH_OP.get(op)
     if simple is not None:
@@ -573,7 +574,7 @@ def _compile_stmt(s, ctx: _Ctx, has_returns: bool) -> StmtFn:
         return lambda b, m, n, frame: b._set_return(frame, m, value(b, m, n))
     if t is c.CBarrier:
         # The static analysis guarantees the mask is all-or-nothing per
-        # work-group here (see ``_Block.exec_stmt``).
+        # work-group here (see :func:`repro.opencl.simt.analyze_kernel`).
         def barrier(b, m, n, frame):
             b.counters.barriers += n
             b._segment += 1
@@ -668,8 +669,8 @@ def _compile_assign(s: c.CAssign, ctx: _Ctx) -> StmtFn:
                     container[member] = b._merge(old, v, m)
             elif isinstance(container, np.ndarray) and container.ndim == 2:
                 if vec_col is None:
-                    # Same KeyError the other engines' _VEC_MEMBERS
-                    # lookup raises for non-xyzw stores.
+                    # Same KeyError the scalar interpreter's
+                    # _VEC_MEMBERS lookup raises for non-xyzw stores.
                     raise KeyError(member)
                 if n == b.L:
                     container[:, vec_col] = v
@@ -902,7 +903,7 @@ def compile_kernel_pipeline(
     """Lower a kernel AST into a compiled closure pipeline.
 
     Raises :class:`CompileUnsupported` when some construct has no
-    closure lowering; the caller then uses the interpretive walk.
+    closure lowering; :func:`get_pipeline` then returns ``None``.
     """
     ctx = _Ctx(parsed)
     has_returns = _contains_return(kernel.body)

@@ -58,16 +58,26 @@ def run_saxpy(engine, n=64, local=16, **overrides):
 
 class TestRegistry:
     def test_default_backends_registered(self):
-        assert set(backend_names()) >= {"scalar", "interp", "compiled", "fused"}
+        assert set(backend_names()) == {"scalar", "compiled", "fused"}
 
-    def test_default_engines_include_tier_aliases(self):
-        names = set(engine_names())
-        assert {"auto", "vector", "scalar", "interp", "compiled", "fused"} <= names
+    def test_default_engines(self):
+        chains = {
+            name: tuple(b.name for b in resolve(name).members)
+            for name in engine_names()
+        }
+        assert chains == {
+            "auto": ("compiled", "scalar"),
+            "compiled": ("compiled",),
+            "fused": ("fused", "compiled", "scalar"),
+            "scalar": ("scalar",),
+        }
+        preferred = resolve("compiled", prefer=True)
+        assert [b.name for b in preferred.members] == ["compiled", "scalar"]
+        assert not preferred.strict
 
     def test_lookup_returns_the_backend(self):
         backend = get_backend("fused")
         assert backend.name == "fused"
-        assert backend.dynamic_class == "grid"
 
     def test_unknown_backend_error_lists_names(self):
         with pytest.raises(ValueError) as err:
@@ -89,10 +99,16 @@ class TestRegistry:
         with pytest.raises(ValueError):
             register_engine("broken-chain", ("no-such-backend",))
 
+    def test_engine_chain_lists_each_backend_once(self):
+        # A backend that declined a launch must never be re-run in the
+        # same launch, so a chain may not list it twice.
+        with pytest.raises(ValueError, match="twice"):
+            register_engine("twice-chain", ("compiled", "scalar", "compiled"))
+        assert "twice-chain" not in engine_names()
+
     def test_custom_backend_registration_roundtrip(self):
         class Null(Backend):
             name = "test-null"
-            dynamic_class = "test"
 
             def plan(self, parsed, kernel):
                 raise CompileUnsupported("always declines")
@@ -119,7 +135,7 @@ class TestRegistry:
         program = OpenCLProgram(src)
         with pytest.raises(VectorizationError):
             launch(program, 4, 4, {"x": Buffer.zeros(4), "n": 4},
-                   engine="vector")
+                   engine="compiled")
 
 
 class TestEngineResolution:
@@ -133,7 +149,7 @@ class TestEngineResolution:
 
     def test_env_var_accepts_backend_names(self, monkeypatch):
         ref, ref_counters = run_saxpy("scalar")
-        for name in ("fused", "compiled", "interp"):
+        for name in ("fused", "compiled"):
             monkeypatch.setenv("REPRO_SIM_ENGINE", name)
             out, counters = run_saxpy(None)
             np.testing.assert_array_equal(out, ref)

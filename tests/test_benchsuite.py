@@ -9,10 +9,15 @@ import numpy as np
 import pytest
 
 from repro.compiler.options import OPTIMIZATION_LEVELS
-from repro.benchsuite.common import ALL_BENCHMARKS, get_benchmark
+from repro.benchsuite.common import (
+    ALL_BENCHMARKS,
+    all_benchmark_names,
+    get_benchmark,
+)
 from repro.benchsuite.figure6 import check_figure6, figure6_trace
 from repro.benchsuite.figure8 import measure_benchmark
 from repro.benchsuite.table1 import run_table1
+from repro.opencl import VectorizationError
 
 
 @pytest.mark.parametrize("name", ALL_BENCHMARKS)
@@ -31,6 +36,38 @@ def test_benchmark_correct_at_every_level(name):
             out, expected, rtol=bench.rtol, atol=1e-7,
             err_msg=f"{name} wrong at level {level_name}",
         )
+
+
+#: Generated kernels the strict ``compiled`` tier declines today: codegen
+#: hoists uninitialised ``float`` accumulators, every engine binds them
+#: as integer zero, and the first masked float store then mixes integer
+#: and float lanes (the float-accumulator cliff in ROADMAP.md).  The fix
+#: must flip these to passing.
+_SCALAR_SERVED = pytest.mark.xfail(
+    strict=True, raises=VectorizationError,
+    reason="float-accumulator cliff: masked assignment mixes integer and "
+           "float lanes",
+)
+
+
+@pytest.mark.parametrize("level", list(OPTIMIZATION_LEVELS))
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(name, marks=_SCALAR_SERVED)
+        if name in ("gemv", "atax", "gesummv") else name
+        for name in all_benchmark_names()
+    ],
+)
+def test_generated_kernel_served_by_compiled_tier(name, level):
+    """Every generated kernel runs on the strict lane-batched tier —
+    correct but silently scalar-served counts as a failure."""
+    bench = get_benchmark(name)
+    inputs, size_env = bench.inputs_for("small")
+    bench.run_generated(
+        inputs, size_env, options_factory=OPTIMIZATION_LEVELS[level],
+        engine="compiled",
+    )
 
 
 @pytest.mark.parametrize("name", ALL_BENCHMARKS)

@@ -365,7 +365,6 @@ class TestBreakerChainIntegration:
 
         class Refuser(Backend):
             name = "test-refuser"
-            dynamic_class = "test"
 
             def plan(self, parsed, kernel):
                 raise CompileUnsupported("always declines")

@@ -11,7 +11,9 @@ refusals and dynamic cross-lane race detection).
 import numpy as np
 import pytest
 
+from repro import faultinject
 from repro.backend import ledger
+from repro.obs import metrics
 from repro.opencl import (
     Buffer,
     OpenCLProgram,
@@ -24,11 +26,11 @@ from repro.opencl.runtime import _parse_cached
 
 
 #: The execution backends whose results must agree bitwise: the scalar
-#: reference interpreter, the interpretive lane-batched walk, the
-#: closure-compiled pipeline, and the whole-grid fused-numpy backend
-#: (whose chain falls back through compiled/scalar on refusals — the
-#: agreement must hold either way).
-ENGINES = ("scalar", "interp", "compiled", "fused")
+#: reference interpreter, the closure-compiled lane-batched pipeline,
+#: and the whole-grid fused-numpy backend (whose chain falls back
+#: through compiled/scalar on refusals — the agreement must hold either
+#: way).
+ENGINES = ("scalar", "compiled", "fused")
 
 
 def run_both(source, global_size, local_size, make_args, kernel_name=None,
@@ -307,7 +309,7 @@ class TestBarriers:
         with pytest.raises(BarrierDivergence):
             launch(program, 2, 2, {"x": Buffer.zeros(2)})
         with pytest.raises(VectorizationError):
-            launch(program, 2, 2, {"x": Buffer.zeros(2)}, engine="vector")
+            launch(program, 2, 2, {"x": Buffer.zeros(2)}, engine="compiled")
 
 
 class TestVectorGeometryBuiltins:
@@ -365,7 +367,7 @@ class TestVectorGeometryBuiltins:
 
         program = OpenCLProgram(self._SRC)
         a = args()
-        launch(program, n, 8, a, engine="vector")
+        launch(program, n, 8, a, engine="compiled")
         pv, qv = p.reshape(n, 4), q.reshape(n, 4)
         for i in range(n):
             acc = pv[i, 0] * qv[i, 0]
@@ -446,12 +448,12 @@ class TestFallback:
         a_s = args()
         c_s = launch(program, 8, 4, a_s, engine="scalar")
         a_auto = args()
-        c_auto = launch(program, 8, 4, a_auto)  # auto: tries vector, falls back
+        c_auto = launch(program, 8, 4, a_auto)  # compiled, then scalar
         np.testing.assert_array_equal(a_s["out"].data, a_auto["out"].data)
         np.testing.assert_array_equal(a_s["scratch"].data, a_auto["scratch"].data)
         assert vars(c_s) == vars(c_auto)
         with pytest.raises(VectorizationError):
-            launch(program, 8, 4, args(), engine="vector")
+            launch(program, 8, 4, args(), engine="compiled")
 
     def test_cross_group_race_across_barrier_falls_back(self):
         # Barriers order work-items *within* a group, never groups; the
@@ -474,7 +476,14 @@ class TestFallback:
         np.testing.assert_array_equal(a_s["out"].data, a_auto["out"].data)
         assert vars(c_s) == vars(c_auto)
         with pytest.raises(VectorizationError):
-            launch(program, 8, 4, args(), engine="vector")
+            launch(program, 8, 4, args(), engine="compiled")
+
+    #: Ledgered (backend, kind) declines before ``scalar`` serves: a
+    #: chain tries each backend once, in order.
+    _DYNAMIC_FALLBACK = {
+        "auto": [("compiled", "dynamic")],
+        "fused": [("fused", "dynamic"), ("compiled", "dynamic")],
+    }
 
     @pytest.mark.parametrize("engine", ["auto", "fused"])
     @pytest.mark.parametrize(
@@ -491,12 +500,18 @@ class TestFallback:
     def test_ledger_names_the_dynamic_hazard(self, engine, source, buffers,
                                              hazard):
         ledger.clear()
+        served = metrics.REGISTRY.counter("launch.served.scalar")
         args = {name: Buffer.zeros(n) for name, n in buffers.items()}
-        launch(OpenCLProgram(source), 8, 4, args, engine=engine)
-        dynamic = [e for e in ledger.events() if e.kind == "dynamic"]
+        with faultinject.plan_installed(None):
+            launch(OpenCLProgram(source), 8, 4, args, engine=engine)
+        events = ledger.events()
         ledger.clear()
-        assert dynamic
-        for event in dynamic:
+        assert [(e.backend, e.kind) for e in events] == (
+            self._DYNAMIC_FALLBACK[engine]
+        )
+        assert metrics.REGISTRY.counter("launch.served.scalar") == served + 1
+        for event in events:
+            assert event.engine == engine
             assert hazard in event.reason, event
 
     def test_rollback_restores_buffers(self):

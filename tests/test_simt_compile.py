@@ -1,13 +1,13 @@
 """Tests for the closure-compilation tier (repro.opencl.simt_compile).
 
-The compiled pipeline's contract is exact equivalence with both the
-interpretive lane-batched walk and the scalar reference interpreter —
-bitwise-identical buffers and identical counters.  The divergence/race
-corpus in ``tests/test_simt.py`` already runs against all three tiers
-through ``assert_engines_agree``; this module covers the compilation
-machinery itself (pipeline caching, barrier segmentation, fallback
-ordering, the written-buffer analysis) plus a randomized cross-engine
-fuzz over the shared IL programs of ``tests/programs.py``.
+The compiled pipeline's contract is exact equivalence with the scalar
+reference interpreter — bitwise-identical buffers and identical
+counters.  The divergence/race corpus in ``tests/test_simt.py`` already
+runs against every backend through ``assert_engines_agree``; this
+module covers the compilation machinery itself (pipeline caching,
+barrier segmentation, fallback ordering, the written-buffer analysis)
+plus a randomized cross-engine fuzz over the shared IL programs of
+``tests/programs.py``.
 """
 
 import numpy as np
@@ -93,22 +93,6 @@ class TestEngineTiers:
         with pytest.raises(VectorizationError):
             launch(program, 4, 4, {"x": Buffer.zeros(4), "n": 4},
                    engine="compiled")
-        with pytest.raises(VectorizationError):
-            launch(program, 4, 4, {"x": Buffer.zeros(4), "n": 4},
-                   engine="interp")
-
-    def test_interp_tier_matches_compiled(self):
-        program = OpenCLProgram(_REDUCTION)
-        x = np.arange(64, dtype=float)
-        results = []
-        for engine in ("interp", "compiled"):
-            out = Buffer.zeros(8)
-            c = launch(program, 64, 8,
-                       {"x": Buffer.from_array(x.copy()), "out": out},
-                       engine=engine)
-            results.append((out.data.copy(), vars(c)))
-        np.testing.assert_array_equal(results[0][0], results[1][0])
-        assert results[0][1] == results[1][1]
 
     def test_dynamic_race_still_falls_back_from_compiled(self):
         # The compiled tier inherits the dynamic hazard detection; under
@@ -302,21 +286,19 @@ class TestCrossEngineFuzz:
             graceful = run(engine)
             np.testing.assert_array_equal(ref.output, graceful.output)
             assert vars(ref.counters) == vars(graceful.counters)
-        # Strict tiers must agree whenever they accept the kernel; a
+        # The strict tier must agree whenever it accepts the kernel; a
         # dynamic refusal (e.g. masked int/float mixing at level
         # ``none``) is a legitimate outcome, not a failure.
-        for engine in ("interp", "compiled"):
-            try:
-                strict = run(engine)
-            except VectorizationError:
-                continue
-            np.testing.assert_array_equal(
-                ref.output, strict.output,
-                err_msg=f"{engine} output differs",
-            )
-            assert vars(ref.counters) == vars(strict.counters), (
-                f"{engine} counters differ"
-            )
+        try:
+            strict = run("compiled")
+        except VectorizationError:
+            return
+        np.testing.assert_array_equal(
+            ref.output, strict.output, err_msg="compiled output differs",
+        )
+        assert vars(ref.counters) == vars(strict.counters), (
+            "compiled counters differ"
+        )
 
     @pytest.mark.parametrize("seed", range(5))
     def test_map_add_one_fuzz(self, seed):
